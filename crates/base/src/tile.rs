@@ -32,6 +32,7 @@
 //! merges back to the sequential value bit for bit.
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use crate::geom::Rect;
 use crate::table::{entry_id, EntryId, ExtentTable, PointTable};
@@ -80,6 +81,14 @@ impl TileGrid {
     /// Tile `space` into exactly `tiles` rectangles (see `grid_dims`).
     pub fn new(space: &Rect, tiles: NonZeroUsize) -> TileGrid {
         let (nx, ny) = grid_dims(tiles.get());
+        let dim = |n| NonZeroUsize::new(n).expect("grid_dims factors are non-zero");
+        TileGrid::with_dims(space, dim(nx), dim(ny))
+    }
+
+    /// Tile `space` into an explicit `nx × ny` grid — for callers that
+    /// size both axes themselves rather than factoring a fixed count.
+    pub fn with_dims(space: &Rect, nx: NonZeroUsize, ny: NonZeroUsize) -> TileGrid {
+        let (nx, ny) = (nx.get(), ny.get());
         TileGrid {
             bounds: *space,
             nx,
@@ -89,7 +98,7 @@ impl TileGrid {
         }
     }
 
-    /// Total number of tiles (`nx · ny`, exactly the requested count).
+    /// Total number of tiles (`nx · ny`).
     #[inline]
     pub fn tiles(&self) -> usize {
         self.nx * self.ny
@@ -125,18 +134,28 @@ impl TileGrid {
     /// the containment [`replicate_by_extent`] and querier assignment
     /// rely on.
     pub fn cover(&self, region: &Rect) -> TileCover {
+        let (cols, rows) = self.cover_ranges(region);
+        TileCover {
+            nx: self.nx,
+            ix0: cols.start,
+            ix1: cols.end - 1,
+            iy1: rows.end - 1,
+            ix: cols.start,
+            iy: rows.start,
+        }
+    }
+
+    /// [`TileGrid::cover`] as its per-axis index ranges `(columns,
+    /// rows)`, never empty; the start of each is the column/row of
+    /// `region`'s lower-left corner, i.e. of [`TileGrid::tile_of`]`(x1,
+    /// y1)`.
+    #[inline]
+    pub fn cover_ranges(&self, region: &Rect) -> (Range<usize>, Range<usize>) {
         let ix0 = axis_index(region.x1 - self.bounds.x1, self.tile_w, self.nx);
         let ix1 = axis_index(region.x2 - self.bounds.x1, self.tile_w, self.nx);
         let iy0 = axis_index(region.y1 - self.bounds.y1, self.tile_h, self.ny);
         let iy1 = axis_index(region.y2 - self.bounds.y1, self.tile_h, self.ny);
-        TileCover {
-            nx: self.nx,
-            ix0,
-            ix1,
-            iy1,
-            ix: ix0,
-            iy: iy0,
-        }
+        (ix0..ix1 + 1, iy0..iy1 + 1)
     }
 
     /// Geometric bounds of tile `t` (the last row/column absorbs any

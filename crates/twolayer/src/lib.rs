@@ -50,6 +50,18 @@
 //! A and only the `*A` mini-joins fire. Closed-rectangle tie semantics
 //! are bit-identical to the scalar point-in-rect test, so the registry's
 //! cross-technique agreement over point workloads holds unchanged.
+//!
+//! ## Layout
+//!
+//! The cell grid is near-square whatever the data's aspect ratio (about
+//! one cell per 32 data rows), because strip-shaped cells replicate
+//! rectangles along their short side. Both relations are partitioned by
+//! one counting sort into a single flat arena of `(id, rect)` rows,
+//! bucketed by (cell, side, class), so a join allocates nothing once the
+//! arena has grown to the input. Each mini-join is a nested loop without
+//! a data-dependent branch: the reduced test is a non-short-circuit `&`
+//! of comparisons, every candidate id is written to a stack batch, and
+//! the batch cursor advances by the test's outcome.
 
 use std::num::NonZeroUsize;
 
@@ -58,35 +70,33 @@ use sj_base::geom::Rect;
 use sj_base::table::{EntryId, ExtentTable, PointTable};
 use sj_base::tile::TileGrid;
 
-/// Class indices into a cell's per-class lists (see crate docs).
+/// Class offsets within a side's four arena buckets (see crate docs):
+/// A = 0b00, B = 0b01 (later column), C = 0b10 (later row), D = 0b11.
 const A: usize = 0;
 const B: usize = 1;
 const C: usize = 2;
 const D: usize = 3;
 
+/// Arena buckets per cell: the query side's four classes, then the data
+/// side's — bucket `cell * 8 + side + class`.
+const BUCKETS_PER_CELL: usize = 8;
+const QUERY: usize = 0;
+const DATA: usize = 4;
+
 /// Auto cell sizing: aim for this many data rows per cell. Mini-joins
 /// are nested loops, so cells stay small; correctness is independent of
 /// the choice (any monotone grid yields the same exactly-once output).
-const AUTO_TARGET_PER_CELL: usize = 64;
+const AUTO_TARGET_PER_CELL: usize = 32;
 /// Auto cell sizing: never more cells than this — beyond it the
 /// per-cell bookkeeping outweighs the shrinking mini-joins.
 const AUTO_MAX_CELLS: usize = 4096;
 
-/// One cell's partitioned view: the query-side (R) and data-side (S)
-/// rectangles replicated here, split by corner class.
-#[derive(Debug, Clone, Default)]
-struct CellLists {
-    r: [Vec<(EntryId, Rect)>; 4],
-    s: [Vec<(EntryId, Rect)>; 4],
-}
+/// Candidates tested per branchless emission batch (a power of two, so
+/// the batch index mask is free).
+const EMIT_BATCH: usize = 64;
 
-impl CellLists {
-    fn clear(&mut self) {
-        for v in self.r.iter_mut().chain(self.s.iter_mut()) {
-            v.clear();
-        }
-    }
-}
+/// A partitioned row: its id and rectangle (points are degenerate rects).
+type Row = (EntryId, Rect);
 
 /// See crate docs. Scratch buffers are reused across ticks so
 /// steady-state joins allocate nothing.
@@ -110,24 +120,28 @@ impl CellLists {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TwoLayerJoin {
-    /// Fixed cell count, or `None` for the auto rule.
+    /// Requested cell count, or `None` for the auto rule.
     cells: Option<NonZeroUsize>,
-    /// Data-side rows as `(id, rect)` — points become degenerate rects.
-    s_rows: Vec<(EntryId, Rect)>,
-    /// Per-cell class lists, indexed by cell id; only the first
-    /// `grid.tiles()` entries are in use for any given join.
-    parts: Vec<CellLists>,
+    /// Data-side rows — points become degenerate rects.
+    s_rows: Vec<Row>,
+    /// Bucket bounds into `arena`: bucket `k` is
+    /// `arena[starts[k]..starts[k + 1]]` once a join has partitioned.
+    starts: Vec<usize>,
+    /// Every replica of both sides, grouped by (cell, side, class) by
+    /// one counting sort; only the first `starts[buckets]` are in use.
+    arena: Vec<Row>,
 }
 
 impl TwoLayerJoin {
-    /// Auto-sized cell grid: aims for ~64 data rows per cell, capped at
-    /// 4096 cells. Correctness never depends on the granularity.
+    /// Auto-sized cell grid: about one cell per 32 data rows, capped
+    /// near 4096 cells. Correctness never depends on the granularity.
     pub fn new() -> TwoLayerJoin {
         TwoLayerJoin::default()
     }
 
-    /// Fixed cell count — correctness is grid-independent, so this only
-    /// trades partitioning overhead against mini-join size.
+    /// About `cells` cells, shaped like the auto grid — correctness is
+    /// grid-independent, so this only trades partitioning overhead
+    /// against mini-join size.
     pub fn with_cells(cells: NonZeroUsize) -> TwoLayerJoin {
         TwoLayerJoin {
             cells: Some(cells),
@@ -135,7 +149,7 @@ impl TwoLayerJoin {
         }
     }
 
-    /// The cell count for `data_rows` data rectangles.
+    /// The requested cell count for `data_rows` data rectangles.
     fn cell_count(&self, data_rows: usize) -> NonZeroUsize {
         match self.cells {
             Some(n) => n,
@@ -148,108 +162,159 @@ impl TwoLayerJoin {
     /// cell grid and execute the nine mini-joins per cell. Every
     /// intersecting `(querier, data row)` pair is pushed exactly once;
     /// `out` is append-only and never post-processed.
-    fn join_rows(&mut self, queries: &[(EntryId, Rect)], out: &mut Vec<(EntryId, EntryId)>) {
+    fn join_rows(&mut self, queries: &[Row], out: &mut Vec<(EntryId, EntryId)>) {
         if self.s_rows.is_empty() || queries.is_empty() {
             return;
         }
-        let bounds = match union_bounds(self.s_rows.iter().chain(queries).map(|&(_, r)| r)) {
-            Some(b) => b,
-            None => return,
+        let rects = self.s_rows.iter().chain(queries).map(|&(_, r)| r);
+        let Some(bounds) = rects.reduce(|a, r| a.union(&r)) else {
+            return;
         };
-        let grid = TileGrid::new(&bounds, self.cell_count(self.s_rows.len()));
-        let tiles = grid.tiles();
-        for cell in self.parts.iter_mut() {
-            cell.clear();
+        let grid = square_grid(&bounds, self.cell_count(self.s_rows.len()));
+        // `extend` grows an empty `out` to the first batch's length and
+        // doubles from there, so its capacity would land anywhere in
+        // `[pairs, 2 * pairs)`, and a caller that reuses it across ticks
+        // would realloc again whenever a tick has a few more pairs. One
+        // full batch up front makes the growth powers of two, as `push`
+        // growth is.
+        out.reserve(EMIT_BATCH);
+        let buckets = grid.tiles() * BUCKETS_PER_CELL;
+
+        // Counting sort of every replica into one arena. The count pass
+        // tallies bucket `k` in `starts[k + 2]`; the prefix sum turns
+        // `starts[k + 1]` into bucket `k`'s start, which the scatter pass
+        // advances to its end — leaving bucket `k` at
+        // `starts[k]..starts[k + 1]`.
+        let starts = &mut self.starts;
+        starts.clear();
+        starts.resize(buckets + 2, 0);
+        for (rows, side) in [(&self.s_rows[..], DATA), (queries, QUERY)] {
+            for_each_replica(&grid, rows, side, |k, _| starts[k + 2] += 1);
         }
-        if self.parts.len() < tiles {
-            self.parts.resize_with(tiles, CellLists::default);
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let total = starts[buckets + 1];
+        if self.arena.len() < total {
+            if self.arena.capacity() < total {
+                // Replace rather than grow: the old rows are dead, and a
+                // realloc would hold both copies at once and double the
+                // capacity. An eighth of headroom absorbs tick-to-tick
+                // drift in replication, so a steady input allocates once.
+                self.arena = Vec::new();
+                self.arena.reserve_exact(total + total / 8);
+            }
+            self.arena.resize(total, (0, Rect::default()));
+        }
+        let arena = &mut self.arena;
+        for (rows, side) in [(&self.s_rows[..], DATA), (queries, QUERY)] {
+            for_each_replica(&grid, rows, side, |k, row| {
+                arena[starts[k + 1]] = row;
+                starts[k + 1] += 1;
+            });
         }
 
-        partition(&grid, &self.s_rows, &mut self.parts, Side::Data);
-        partition(&grid, queries, &mut self.parts, Side::Query);
-
-        // The nine executed mini-joins with their reduced tests. The
-        // skipped class combinations (BB, BD, CC, CD, DB, DC, DD) are
-        // exactly those where the pair's reference point cannot lie in
-        // this cell — their pairs are owned by an earlier cell.
-        let y_ov = |r: &Rect, s: &Rect| r.y1 <= s.y2 && s.y1 <= r.y2;
-        let x_ov = |r: &Rect, s: &Rect| r.x1 <= s.x2 && s.x1 <= r.x2;
-        for cell in &self.parts[..tiles] {
-            let (r, s) = (&cell.r, &cell.s);
-            mini(&r[A], &s[A], |a, b| a.intersects(b), out);
-            mini(&r[A], &s[B], |a, b| a.x1 <= b.x2 && y_ov(a, b), out);
-            mini(&r[A], &s[C], |a, b| a.y1 <= b.y2 && x_ov(a, b), out);
-            mini(&r[A], &s[D], |a, b| a.x1 <= b.x2 && a.y1 <= b.y2, out);
-            mini(&r[B], &s[A], |a, b| b.x1 <= a.x2 && y_ov(a, b), out);
-            mini(&r[B], &s[C], |a, b| b.x1 <= a.x2 && a.y1 <= b.y2, out);
-            mini(&r[C], &s[A], |a, b| x_ov(a, b) && b.y1 <= a.y2, out);
-            mini(&r[C], &s[B], |a, b| a.x1 <= b.x2 && b.y1 <= a.y2, out);
-            mini(&r[D], &s[A], |a, b| b.x1 <= a.x2 && b.y1 <= a.y2, out);
-        }
-    }
-}
-
-/// Which side of the join a partition pass feeds.
-#[derive(Clone, Copy)]
-enum Side {
-    Query,
-    Data,
-}
-
-/// Replicate every rectangle into each cell of its cover, classified by
-/// corner ownership relative to its home cell (the cell of its
-/// lower-left corner).
-fn partition(grid: &TileGrid, rows: &[(EntryId, Rect)], parts: &mut [CellLists], side: Side) {
-    let nx = grid.nx();
-    for &(id, rect) in rows {
-        let home = grid.tile_of(rect.x1, rect.y1);
-        let (hx, hy) = (home % nx, home / nx);
-        for t in grid.cover(&rect) {
-            let (tx, ty) = (t % nx, t / nx);
-            // A = 0b00, B = 0b01 (later column), C = 0b10 (later row),
-            // D = 0b11 — matching the class index constants.
-            let class = (((ty > hy) as usize) << 1) | ((tx > hx) as usize);
-            let lists = match side {
-                Side::Query => &mut parts[t].r,
-                Side::Data => &mut parts[t].s,
+        // The nine executed mini-joins with their reduced tests, each a
+        // non-short-circuit `&` of comparisons. The skipped class
+        // combinations (BB, BD, CC, CD, DB, DC, DD) are exactly those
+        // where the pair's reference point cannot lie in this cell —
+        // their pairs are owned by an earlier cell.
+        let y_ov = |r: &Rect, s: &Rect| (r.y1 <= s.y2) & (s.y1 <= r.y2);
+        let x_ov = |r: &Rect, s: &Rect| (r.x1 <= s.x2) & (s.x1 <= r.x2);
+        for cell in 0..grid.tiles() {
+            let bucket = |side: usize, class: usize| {
+                let k = cell * BUCKETS_PER_CELL + side + class;
+                &self.arena[starts[k]..starts[k + 1]]
             };
-            lists[class].push((id, rect));
+            let (r, s) = (|class| bucket(QUERY, class), |class| bucket(DATA, class));
+            mini(r(A), s(A), |a, b| x_ov(a, b) & y_ov(a, b), out);
+            mini(r(A), s(B), |a, b| (a.x1 <= b.x2) & y_ov(a, b), out);
+            mini(r(A), s(C), |a, b| (a.y1 <= b.y2) & x_ov(a, b), out);
+            mini(r(A), s(D), |a, b| (a.x1 <= b.x2) & (a.y1 <= b.y2), out);
+            mini(r(B), s(A), |a, b| (b.x1 <= a.x2) & y_ov(a, b), out);
+            mini(r(B), s(C), |a, b| (b.x1 <= a.x2) & (a.y1 <= b.y2), out);
+            mini(r(C), s(A), |a, b| x_ov(a, b) & (b.y1 <= a.y2), out);
+            mini(r(C), s(B), |a, b| (a.x1 <= b.x2) & (b.y1 <= a.y2), out);
+            mini(r(D), s(A), |a, b| (b.x1 <= a.x2) & (b.y1 <= a.y2), out);
         }
     }
 }
 
-/// One mini-join: nested loop with the combo's reduced predicate.
+/// Near-square grid of about `want` cells over `bounds`. The short axis
+/// gets `round(√(want · short / long))` cells and the long axis enough
+/// for square cells, capped at `⌈want / short cells⌉`. Whenever `want`
+/// is at least the aspect ratio (long side / short side), every cell is
+/// within 2:1 of square; fewer cells than that cannot be square without
+/// exceeding `want`. A zero-extent axis gets one cell, so degenerate
+/// bounds (every rect on one vertical or horizontal line) still split
+/// along the other axis.
+fn square_grid(bounds: &Rect, want: NonZeroUsize) -> TileGrid {
+    let want = want.get();
+    let (w, h) = (bounds.width(), bounds.height());
+    let (long, short) = if w >= h { (w, h) } else { (h, w) };
+    // Float-to-int `as` saturates (NaN to 0), and the clamps keep every
+    // count in 1..=want, so overflowing or NaN extents stay well-formed.
+    let (n_long, n_short) = if short > 0.0 {
+        let n_short = ((want as f32 * short / long).sqrt().round() as usize).clamp(1, want);
+        let square = (long / short * n_short as f32).round() as usize;
+        (square.clamp(1, want.div_ceil(n_short)), n_short)
+    } else if long > 0.0 {
+        (want, 1)
+    } else {
+        (1, 1)
+    };
+    let (nx, ny) = if w >= h {
+        (n_long, n_short)
+    } else {
+        (n_short, n_long)
+    };
+    let dim = |n| NonZeroUsize::new(n).expect("clamped to at least one cell");
+    TileGrid::with_dims(bounds, dim(nx), dim(ny))
+}
+
+/// Call `f(bucket, row)` for every replica of every row: each rect goes
+/// to every cell of its cover, classified by corner ownership relative
+/// to its home cell (the cell of its lower-left corner, which is where
+/// the cover's column and row ranges start).
 #[inline]
-fn mini<F: Fn(&Rect, &Rect) -> bool>(
-    rs: &[(EntryId, Rect)],
-    ss: &[(EntryId, Rect)],
-    test: F,
-    out: &mut Vec<(EntryId, EntryId)>,
-) {
-    for &(q, qr) in rs {
-        for &(sid, sr) in ss {
-            if test(&qr, &sr) {
-                out.push((q, sid));
+fn for_each_replica(grid: &TileGrid, rows: &[Row], side: usize, mut f: impl FnMut(usize, Row)) {
+    let nx = grid.nx();
+    for &row in rows {
+        let (cols, cell_rows) = grid.cover_ranges(&row.1);
+        let (hx, hy) = (cols.start, cell_rows.start);
+        for ty in cell_rows {
+            for tx in cols.clone() {
+                let class = (((ty > hy) as usize) << 1) | (tx > hx) as usize;
+                f((ty * nx + tx) * BUCKETS_PER_CELL + side + class, row);
             }
         }
     }
 }
 
-/// The tight bounding box of all rectangles, or `None` when empty.
-fn union_bounds(rects: impl Iterator<Item = Rect>) -> Option<Rect> {
-    let mut acc: Option<Rect> = None;
-    for r in rects {
-        acc = Some(match acc {
-            None => r,
-            Some(a) => Rect::new(
-                a.x1.min(r.x1),
-                a.y1.min(r.y1),
-                a.x2.max(r.x2),
-                a.y2.max(r.y2),
-            ),
-        });
+/// One mini-join: a nested loop with the combination's reduced test and
+/// no data-dependent branch. Every candidate id is written to a stack
+/// batch and the cursor advances by the test's `bool`, so only matches
+/// are kept; each batch reaches `out` in one `extend`.
+#[inline(always)]
+fn mini(
+    rs: &[Row],
+    ss: &[Row],
+    test: impl Fn(&Rect, &Rect) -> bool,
+    out: &mut Vec<(EntryId, EntryId)>,
+) {
+    let mut batch: [EntryId; EMIT_BATCH] = [0; EMIT_BATCH];
+    for &(q, qr) in rs {
+        for chunk in ss.chunks(EMIT_BATCH) {
+            let mut n = 0;
+            for &(sid, sr) in chunk {
+                // `n` never passes the chunk index, so the mask only
+                // spares the bounds check.
+                batch[n % EMIT_BATCH] = sid;
+                n += test(&qr, &sr) as usize;
+            }
+            out.extend(batch[..n].iter().map(|&sid| (q, sid)));
+        }
     }
-    acc
 }
 
 impl BatchJoin for TwoLayerJoin {
@@ -340,6 +405,36 @@ mod tests {
         out
     }
 
+    /// `n` random rects with sides up to 6% of each axis inside a
+    /// `w × h` space (a zero axis makes every rect degenerate on it).
+    fn extents_in(n: usize, w: f32, h: f32, seed: u64) -> ExtentTable {
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut t = ExtentTable::default();
+        for _ in 0..n {
+            let (dw, dh) = (rng.range_f32(0.0, 0.06) * w, rng.range_f32(0.0, 0.06) * h);
+            let x = rng.range_f32(0.0, 1.0) * (w - dw);
+            let y = rng.range_f32(0.0, 1.0) * (h - dh);
+            t.push(Rect::new(x, y, x + dw, y + dh));
+        }
+        t
+    }
+
+    /// The exactly-once pin: the raw emission (never deduplicated)
+    /// has the brute-force pair count and, sorted, the same pairs.
+    fn assert_exactly_once(j: &mut TwoLayerJoin, t: &ExtentTable, what: &str) {
+        let qs = self_join_queries(t);
+        let expected = brute_force(t, &qs);
+        let mut raw = Vec::new();
+        j.join_extents(t, &qs, &mut raw);
+        assert_eq!(raw.len(), expected.len(), "{what}");
+        raw.sort_unstable();
+        assert_eq!(raw, expected, "{what}");
+    }
+
+    fn cells(n: usize) -> TwoLayerJoin {
+        TwoLayerJoin::with_cells(NonZeroUsize::new(n).unwrap())
+    }
+
     #[test]
     fn emits_each_intersecting_pair_exactly_once_with_no_dedup() {
         let t = random_extents(400, 11);
@@ -360,16 +455,35 @@ mod tests {
 
     #[test]
     fn exactly_once_holds_across_cell_granularities() {
+        // Near-square grids for prime and semiprime requests too: 781 =
+        // 71 × 11 is the count exact factoring turns into strips, and
+        // 4093 is prime.
         let t = random_extents(250, 23);
-        let qs = self_join_queries(&t);
-        let expected = brute_force(&t, &qs);
-        for cells in [1usize, 2, 3, 7, 16, 64, 311] {
-            let mut raw = Vec::new();
-            TwoLayerJoin::with_cells(NonZeroUsize::new(cells).unwrap())
-                .join_extents(&t, &qs, &mut raw);
-            assert_eq!(raw.len(), expected.len(), "cells={cells}");
-            raw.sort_unstable();
-            assert_eq!(raw, expected, "cells={cells}");
+        for n in [1usize, 2, 3, 5, 7, 13, 16, 64, 97, 311, 781, 4093] {
+            assert_exactly_once(&mut cells(n), &t, &format!("cells={n}"));
+        }
+    }
+
+    #[test]
+    fn exactly_once_across_aspect_ratios() {
+        for (w, h) in [(1_000.0, 1_000.0), (10_000.0, 1_000.0), (100.0, 10_000.0)] {
+            let t = extents_in(300, w, h, 81);
+            assert_exactly_once(&mut TwoLayerJoin::new(), &t, &format!("{w}x{h} auto"));
+            for n in [7usize, 64, 781] {
+                assert_exactly_once(&mut cells(n), &t, &format!("{w}x{h} cells={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn exactly_once_on_degenerate_bounds() {
+        // Zero width: every rect is a vertical segment at the same x.
+        // Zero height: horizontal segments at the same y. Both zero:
+        // every row is the same point, so every pair intersects.
+        for (w, h) in [(0.0, 1_000.0), (1_000.0, 0.0), (0.0, 0.0)] {
+            let t = extents_in(120, w, h, 91);
+            assert_exactly_once(&mut TwoLayerJoin::new(), &t, &format!("{w}x{h} auto"));
+            assert_exactly_once(&mut cells(64), &t, &format!("{w}x{h} cells=64"));
         }
     }
 
@@ -385,13 +499,7 @@ mod tests {
             let x = 20.0 + (i as f32) * 22.0;
             t.push(Rect::new(x, x, x + 5.0, x + 5.0));
         }
-        let qs = self_join_queries(&t);
-        let expected = brute_force(&t, &qs);
-        let mut raw = Vec::new();
-        TwoLayerJoin::with_cells(NonZeroUsize::new(64).unwrap()).join_extents(&t, &qs, &mut raw);
-        assert_eq!(raw.len(), expected.len());
-        raw.sort_unstable();
-        assert_eq!(raw, expected);
+        assert_exactly_once(&mut cells(64), &t, "huge rects");
     }
 
     #[test]
@@ -415,41 +523,45 @@ mod tests {
         for i in (0..300u32).step_by(3) {
             t.remove(i);
         }
-        let qs = self_join_queries(&t);
-        let expected = brute_force(&t, &qs);
+        assert_exactly_once(&mut TwoLayerJoin::new(), &t, "auto");
+        assert_exactly_once(&mut cells(1), &t, "one cell");
+        assert_exactly_once(&mut cells(311), &t, "311 cells");
         let mut raw = Vec::new();
-        TwoLayerJoin::new().join_extents(&t, &qs, &mut raw);
-        assert_eq!(raw.len(), expected.len());
-        raw.sort_unstable();
-        assert_eq!(raw, expected);
+        TwoLayerJoin::new().join_extents(&t, &self_join_queries(&t), &mut raw);
         assert!(raw.iter().all(|&(q, s)| t.is_live(q) && t.is_live(s)));
     }
 
     #[test]
     fn point_join_agrees_with_naive_including_tombstones() {
-        let mut rng = Xoshiro256::seeded(7);
-        let mut t = PointTable::default();
-        for _ in 0..500 {
-            t.push(rng.range_f32(0.0, SIDE), rng.range_f32(0.0, SIDE));
+        // A square space and a 100:1 strip.
+        for (w, h) in [(SIDE, SIDE), (10_000.0, 100.0)] {
+            let mut rng = Xoshiro256::seeded(7);
+            let mut t = PointTable::default();
+            for _ in 0..500 {
+                t.push(rng.range_f32(0.0, w), rng.range_f32(0.0, h));
+            }
+            for i in (0..500u32).step_by(7) {
+                t.remove(i);
+            }
+            let (qw, qh) = (0.08 * w, 0.08 * h);
+            let qs: Vec<(EntryId, Rect)> = (0..120u32)
+                .map(|i| {
+                    let x = rng.range_f32(0.0, w - qw);
+                    let y = rng.range_f32(0.0, h - qh);
+                    (i, Rect::new(x, y, x + qw, y + qh))
+                })
+                .collect();
+            let mut expected = Vec::new();
+            NaiveBatchJoin.join(&t, &qs, &mut expected);
+            expected.sort_unstable();
+            for mut j in [TwoLayerJoin::new(), cells(1), cells(781)] {
+                let mut raw = Vec::new();
+                j.join(&t, &qs, &mut raw);
+                assert_eq!(raw.len(), expected.len(), "{w}x{h}");
+                raw.sort_unstable();
+                assert_eq!(raw, expected, "{w}x{h}");
+            }
         }
-        for i in (0..500u32).step_by(7) {
-            t.remove(i);
-        }
-        let qs: Vec<(EntryId, Rect)> = (0..120u32)
-            .map(|i| {
-                let x = rng.range_f32(0.0, SIDE - 80.0);
-                let y = rng.range_f32(0.0, SIDE - 80.0);
-                (i, Rect::new(x, y, x + 80.0, y + 80.0))
-            })
-            .collect();
-        let mut raw = Vec::new();
-        TwoLayerJoin::new().join(&t, &qs, &mut raw);
-        let mut expected = Vec::new();
-        NaiveBatchJoin.join(&t, &qs, &mut expected);
-        assert_eq!(raw.len(), expected.len());
-        raw.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(raw, expected);
     }
 
     #[test]
@@ -482,6 +594,55 @@ mod tests {
         f.join_extents(&t, &qs, &mut out);
         out.sort_unstable();
         assert_eq!(out, brute_force(&t, &qs));
+    }
+
+    #[test]
+    fn auto_grid_cells_stay_within_two_to_one() {
+        for aspect in [1.0f32, 1.5, 2.7, 10.0, 33.3, 100.0, 1_000.0] {
+            for (w, h) in [(aspect * 50.0, 50.0), (50.0, aspect * 50.0)] {
+                let bounds = Rect::new(-20.0, 3.0, w - 20.0, h + 3.0);
+                let wants = (1..=300).chain([311, 781, 1562, 4093, 4096]);
+                for want in wants.filter(|&n| n as f32 >= aspect) {
+                    let g = square_grid(&bounds, NonZeroUsize::new(want).unwrap());
+                    let (cw, ch) = (w / g.nx() as f32, h / g.ny() as f32);
+                    let ratio = cw.max(ch) / cw.min(ch);
+                    assert!(
+                        ratio <= 2.0,
+                        "{w}x{h} want={want}: {}x{} cells, {ratio}:1",
+                        g.nx(),
+                        g.ny()
+                    );
+                    // About `want` cells: never past the cap, never far short.
+                    let short = g.nx().min(g.ny());
+                    assert!(
+                        g.tiles() <= want + short,
+                        "{w}x{h} want={want}: {} cells",
+                        g.tiles()
+                    );
+                    assert!(
+                        9 * g.tiles() >= 4 * want,
+                        "{w}x{h} want={want}: {} cells",
+                        g.tiles()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_bounds_get_a_well_formed_grid() {
+        let want = NonZeroUsize::new(781).unwrap();
+        let g = square_grid(&Rect::new(5.0, 0.0, 5.0, 100.0), want);
+        assert_eq!((g.nx(), g.ny()), (1, 781));
+        let g = square_grid(&Rect::new(0.0, 5.0, 100.0, 5.0), want);
+        assert_eq!((g.nx(), g.ny()), (781, 1));
+        let g = square_grid(&Rect::new(5.0, 5.0, 5.0, 5.0), want);
+        assert_eq!(g.tiles(), 1);
+        // Extents so large their width overflows to infinity.
+        let g = square_grid(&Rect::new(-f32::MAX, 0.0, f32::MAX, 1.0), want);
+        assert!((1..=781).contains(&g.tiles()));
+        let g = square_grid(&Rect::new(-f32::MAX, -f32::MAX, f32::MAX, f32::MAX), want);
+        assert!((1..=781).contains(&g.tiles()));
     }
 
     #[test]

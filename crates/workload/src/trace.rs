@@ -190,23 +190,23 @@ impl Trace {
         let n = read_u32(r)? as usize;
         let mut cols: [Vec<f32>; 4] = Default::default();
         for col in cols.iter_mut() {
-            col.reserve(n);
+            col.reserve(capped(n));
             for _ in 0..n {
                 col.push(read_f32(r)?);
             }
         }
         let [init_x, init_y, init_vx, init_vy] = cols;
         let tick_count = read_u32(r)? as usize;
-        let mut ticks = Vec::with_capacity(tick_count);
+        let mut ticks = Vec::with_capacity(capped(tick_count));
         for _ in 0..tick_count {
             let nq = read_u32(r)? as usize;
             let mut actions = TickActions::default();
-            actions.queriers.reserve(nq);
+            actions.queriers.reserve(capped(nq));
             for _ in 0..nq {
                 actions.queriers.push(read_u32(r)?);
             }
             let nu = read_u32(r)? as usize;
-            actions.velocity_updates.reserve(nu);
+            actions.velocity_updates.reserve(capped(nu));
             for _ in 0..nu {
                 let id = read_u32(r)?;
                 let vx = read_f32(r)?;
@@ -215,12 +215,12 @@ impl Trace {
             }
             if churn_sections {
                 let nr = read_u32(r)? as usize;
-                actions.removals.reserve(nr);
+                actions.removals.reserve(capped(nr));
                 for _ in 0..nr {
                     actions.removals.push(read_u32(r)?);
                 }
                 let ni = read_u32(r)? as usize;
-                actions.inserts.reserve(ni);
+                actions.inserts.reserve(capped(ni));
                 for _ in 0..ni {
                     let px = read_f32(r)?;
                     let py = read_f32(r)?;
@@ -541,7 +541,7 @@ impl ExtentTrace {
         let n = read_u32(&mut r)? as usize;
         let mut cols: [Vec<f32>; 6] = Default::default();
         for col in cols.iter_mut() {
-            col.reserve(n);
+            col.reserve(capped(n));
             for _ in 0..n {
                 col.push(read_f32(&mut r)?);
             }
@@ -556,16 +556,16 @@ impl ExtentTrace {
             }
         }
         let tick_count = read_u32(&mut r)? as usize;
-        let mut ticks = Vec::with_capacity(tick_count);
+        let mut ticks = Vec::with_capacity(capped(tick_count));
         for _ in 0..tick_count {
             let mut actions = ExtentTickActions::default();
             let nq = read_u32(&mut r)? as usize;
-            actions.queriers.reserve(nq);
+            actions.queriers.reserve(capped(nq));
             for _ in 0..nq {
                 actions.queriers.push(read_u32(&mut r)?);
             }
             let nu = read_u32(&mut r)? as usize;
-            actions.velocity_updates.reserve(nu);
+            actions.velocity_updates.reserve(capped(nu));
             for _ in 0..nu {
                 let id = read_u32(&mut r)?;
                 let vx = read_f32(&mut r)?;
@@ -573,12 +573,12 @@ impl ExtentTrace {
                 actions.velocity_updates.push((id, vx, vy));
             }
             let nr = read_u32(&mut r)? as usize;
-            actions.removals.reserve(nr);
+            actions.removals.reserve(capped(nr));
             for _ in 0..nr {
                 actions.removals.push(read_u32(&mut r)?);
             }
             let ni = read_u32(&mut r)? as usize;
-            actions.inserts.reserve(ni);
+            actions.inserts.reserve(capped(ni));
             for _ in 0..ni {
                 let rect = read_rect(&mut r)?;
                 let vx = read_f32(&mut r)?;
@@ -724,6 +724,18 @@ fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
 
 fn write_f32<W: Write>(w: &mut W, v: f32) -> io::Result<()> {
     w.write_all(&v.to_bits().to_le_bytes())
+}
+
+/// Most elements a loader reserves up front for a count read from the
+/// file. A corrupt or hostile count (say `u32::MAX` ticks in a 24-byte
+/// file) then ends in the reader's truncation error instead of a
+/// multi-gigabyte allocation that aborts; longer sections grow as their
+/// elements are actually read.
+const MAX_PREALLOC: usize = 1 << 12;
+
+/// `count` bounded by [`MAX_PREALLOC`], for reservations.
+fn capped(count: usize) -> usize {
+    count.min(MAX_PREALLOC)
 }
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
@@ -954,6 +966,49 @@ mod tests {
         v1.extend_from_slice(&body[off..]); // final checksum
         let back = Trace::read_from(v1.as_slice()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    /// A header whose counts promise far more than the file holds.
+    fn lying_header(magic: &[u8; 8], fields: &[u32]) -> Vec<u8> {
+        let mut buf = magic.to_vec();
+        for f in fields {
+            buf.extend_from_slice(&f.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn huge_counts_in_truncated_point_traces_are_errors() {
+        let side = 100f32.to_bits();
+        // space side, query side, row count, tick count: 24 bytes.
+        let cases = [
+            lying_header(MAGIC_V1, &[side, side, 0, u32::MAX]),
+            lying_header(MAGIC_V3, &[side, side, u32::MAX]),
+            // One tick promising u32::MAX queriers, then u32::MAX removals.
+            lying_header(MAGIC_V1, &[side, side, 0, 1, u32::MAX]),
+            lying_header(MAGIC_V2, &[side, side, 0, 1, 0, 0, u32::MAX]),
+        ];
+        for bytes in cases {
+            let err = Trace::read_from(bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn huge_counts_in_truncated_extent_traces_are_errors() {
+        let side = 100f32.to_bits();
+        // space side, row count, tick count.
+        let cases = [
+            lying_header(MAGIC_V4, &[side, 0, u32::MAX]),
+            lying_header(MAGIC_V4, &[side, u32::MAX]),
+            // One tick promising u32::MAX queriers, then u32::MAX inserts.
+            lying_header(MAGIC_V4, &[side, 0, 1, u32::MAX]),
+            lying_header(MAGIC_V4, &[side, 0, 1, 0, 0, 0, u32::MAX]),
+        ];
+        for bytes in cases {
+            let err = ExtentTrace::read_from(bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{bytes:?}");
+        }
     }
 
     #[test]
